@@ -175,7 +175,7 @@ func BenchmarkE7Consensus(b *testing.B) {
 				out, err := sim.Execute(sim.Spec{
 					Adversary: run,
 					Proposals: sim.SeqProposals(n),
-					Opts:      core.Options{ConservativeDecide: true},
+					Params:    core.Options{ConservativeDecide: true},
 				})
 				if err != nil {
 					b.Fatal(err)
@@ -226,7 +226,7 @@ func BenchmarkE9Ablations(b *testing.B) {
 				out, err := sim.Execute(sim.Spec{
 					Adversary: run,
 					Proposals: sim.SeqProposals(n),
-					Opts:      v.opts,
+					Params:    v.opts,
 				})
 				if err != nil {
 					b.Fatal(err)
@@ -252,7 +252,7 @@ func BenchmarkE10GuardFlaw(b *testing.B) {
 	} {
 		b.Run(v.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				out, err := sim.Execute(sim.Spec{Adversary: adv, Proposals: props, Opts: v.opts})
+				out, err := sim.Execute(sim.Spec{Adversary: adv, Proposals: props, Params: v.opts})
 				if err != nil {
 					b.Fatal(err)
 				}

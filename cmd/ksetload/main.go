@@ -518,7 +518,7 @@ func runChaos(stdout io.Writer, p chaosParams) error {
 	sum := chaosSummary{Transport: p.transport, N: p.n, Trials: p.trials, MinFrac: p.minFrac}
 	for c := 0; c <= p.crashes; c++ {
 		var secs []float64
-		var last *runtime.CrashReplayReport
+		var last *runtime.ReplayReport
 		rounds := 0
 		lost := 0
 		for trial := 0; trial < p.trials; trial++ {

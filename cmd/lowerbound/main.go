@@ -53,7 +53,7 @@ func main() {
 	out, err := sim.Execute(sim.Spec{
 		Adversary: run,
 		Proposals: sim.SeqProposals(*n),
-		Opts:      core.Options{ConservativeDecide: *conservative},
+		Params:    core.Options{ConservativeDecide: *conservative},
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -173,7 +173,7 @@ func run(args []string, stdout io.Writer) error {
 		MaxRounds:     *maxRounds,
 		Concurrent:    *concurrent,
 		MeterMessages: *meter,
-		Opts: core.Options{
+		Params: core.Options{
 			ConservativeDecide: *conservative,
 			MergeOwnGraph:      *mergeOwn,
 		},

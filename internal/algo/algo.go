@@ -96,6 +96,9 @@ type Facts struct {
 	RootComps int
 	// MinK is the smallest certified k with Psrcs(k) for the skeleton.
 	MinK int
+	// Exempt marks processes that crashed undecided (nil = none): they
+	// owe no decision, so termination oracles skip them.
+	Exempt []bool
 }
 
 // Violation is one whole-run oracle failure.

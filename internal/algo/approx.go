@@ -123,10 +123,10 @@ func approxCheck(run Run, f Facts) []Violation {
 	if out.Rounds >= opts.DecideRound {
 		for i := 0; i < out.N; i++ {
 			switch {
-			case !out.Decided[i]:
+			case !out.Decided[i] && (f.Exempt == nil || !f.Exempt[i]):
 				viols = append(viols, Violation{"termination",
 					fmt.Sprintf("p%d undecided after round %d (decide round %d)", i+1, out.Rounds, opts.DecideRound)})
-			case out.DecideRounds[i] != opts.DecideRound:
+			case out.Decided[i] && out.DecideRounds[i] != opts.DecideRound:
 				viols = append(viols, Violation{"termination",
 					fmt.Sprintf("p%d decided in round %d, want exactly %d", i+1, out.DecideRounds[i], opts.DecideRound)})
 			}

@@ -1,7 +1,7 @@
 // Package chaos is the crash-fault harness: seeded generators for crash
 // and stall plans, and a differential battery that drives live runs with
 // real process deaths over every transport and proves each one replays
-// bit-for-bit through the lockstep simulator (runtime.CrashReplay).
+// bit-for-bit through the lockstep simulator (runtime.Replay).
 //
 // Determinism discipline: every plan is a pure function of its seed, so
 // a battery config names a reproducible chaos scenario — the same
@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"kset/internal/adversary"
+	"kset/internal/algo"
 	"kset/internal/core"
 	"kset/internal/graph"
 	"kset/internal/runtime"
@@ -110,17 +111,19 @@ func randomSubset(n int, rng *rand.Rand) graph.NodeSet {
 // BatteryConfig names one crash-replay scenario of the differential
 // battery.
 type BatteryConfig struct {
-	Name    string
-	Kind    string // "inproc", "tcp", "udp"
-	N       int
-	Crashes int
-	Seed    int64
+	Name      string
+	Algorithm string // registered family; "" = kset
+	Kind      string // "inproc", "tcp", "udp"
+	N         int
+	Crashes   int
+	Seed      int64
 }
 
 // BatteryConfigs enumerates the acceptance battery: every transport ×
 // n ∈ {8, 16}, two crashes each, sites cycling through all three crash
 // sites per plan (RandomCrashPlan assigns before/mid/after in victim
-// order). In-proc runs announced crashes (the transport has no deadline
+// order), plus one graph approximate agreement lane per transport at
+// n = 8. In-proc runs announced crashes (the transport has no deadline
 // machinery); the socket meshes run silent crashes and must detect them
 // by stall.
 func BatteryConfigs() []BatteryConfig {
@@ -137,26 +140,52 @@ func BatteryConfigs() []BatteryConfig {
 				})
 			}
 		}
+		cfgs = append(cfgs, BatteryConfig{
+			Name:      fmt.Sprintf("approx-%s-n8-s1", kind),
+			Algorithm: algo.Approx,
+			Kind:      kind,
+			N:         8,
+			Crashes:   2,
+			Seed:      1,
+		})
 	}
 	return cfgs
+}
+
+// batterySpec is the seeded schedule of one battery config: for kset,
+// Algorithm 1 with the repaired decision guard over a fixed-length
+// window; for approx, seeded path-graph proposals run to the family's
+// resolved decide round.
+func batterySpec(cfg BatteryConfig) sim.Spec {
+	rng := rand.New(rand.NewSource(cfg.Seed))
+	n := cfg.N
+	spec := sim.Spec{
+		Algorithm: cfg.Algorithm,
+		Adversary: adversary.RandomSources(n, 1+rng.Intn(2), n/2, 0.3, rng),
+		Proposals: sim.SeqProposals(n),
+	}
+	if cfg.Algorithm == algo.Approx {
+		for i := range spec.Proposals {
+			spec.Proposals[i] = int64(rng.Intn(n + 1))
+		}
+		return spec
+	}
+	spec.Params = core.Options{ConservativeDecide: true}
+	spec.MaxRounds = 4*n + 20
+	return spec
 }
 
 // Run executes one battery config: a seeded adversary schedule, a
 // seeded crash plan, a live run over the config's transport, and the
 // replay verification. artifactDir, when non-empty, receives a .ksr of
 // the realized graphs if the replay diverges.
-func Run(cfg BatteryConfig, artifactDir string) (*runtime.CrashReplayReport, error) {
-	rng := rand.New(rand.NewSource(cfg.Seed))
+func Run(cfg BatteryConfig, artifactDir string) (*runtime.ReplayReport, error) {
 	n := cfg.N
-	spec := sim.Spec{
-		Adversary: adversary.RandomSources(n, 1+rng.Intn(2), n/2, 0.3, rng),
-		Proposals: sim.SeqProposals(n),
-		Opts:      core.Options{ConservativeDecide: true},
-		MaxRounds: 4*n + 20,
+	opts := runtime.ReplayOpts{
+		Kind:        cfg.Kind,
+		Crash:       RandomCrashPlan(n, cfg.Crashes, n/2+2, cfg.Seed, cfg.Kind == "inproc"),
+		ArtifactDir: artifactDir,
 	}
-	maxCrashRound := n/2 + 2
-	plan := RandomCrashPlan(n, cfg.Crashes, maxCrashRound, cfg.Seed, cfg.Kind == "inproc")
-	opts := runtime.CrashReplayOpts{Kind: cfg.Kind, ArtifactDir: artifactDir}
 	switch cfg.Kind {
 	case "inproc":
 		// Announced crashes: MarkDead is the supervisor's notice.
@@ -175,5 +204,5 @@ func Run(cfg BatteryConfig, artifactDir string) (*runtime.CrashReplayReport, err
 	default:
 		return nil, fmt.Errorf("chaos: unknown transport kind %q", cfg.Kind)
 	}
-	return runtime.CrashReplay(spec, plan, opts)
+	return runtime.Replay(batterySpec(cfg), opts)
 }

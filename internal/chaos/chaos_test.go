@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"kset/internal/adversary"
+	"kset/internal/algo"
 	"kset/internal/core"
 	"kset/internal/runtime"
 	"kset/internal/sim"
@@ -34,6 +35,16 @@ func TestCrashReplayBattery(t *testing.T) {
 			if !rep.KBound {
 				t.Errorf("%d distinct decisions exceed realized MinK %d", rep.Distinct, rep.Replay.MinK)
 			}
+			if cfg.Algorithm == algo.Approx {
+				// The run reaches the resolved decide round, where the
+				// termination oracle demands every survivor's decision.
+				if rep.Live.Rounds != rep.Live.Run.MaxRounds {
+					t.Errorf("ran %d rounds, want the resolved decide round %d", rep.Live.Rounds, rep.Live.Run.MaxRounds)
+				}
+				if len(rep.Violations) != 0 {
+					t.Errorf("approx oracles fired: %v", rep.Violations)
+				}
+			}
 		})
 	}
 }
@@ -60,10 +71,10 @@ func TestCrashSitesExactHeardSets(t *testing.T) {
 			spec := sim.Spec{
 				Adversary: adversary.Complete(n),
 				Proposals: sim.SeqProposals(n),
-				Opts:      core.Options{ConservativeDecide: true},
+				Params:    core.Options{ConservativeDecide: true},
 				MaxRounds: 3*n + 10,
 			}
-			rep, err := runtime.CrashReplay(spec, plan, runtime.CrashReplayOpts{Kind: "inproc"})
+			rep, err := runtime.Replay(spec, runtime.ReplayOpts{Kind: "inproc", Crash: plan})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -132,10 +143,10 @@ func TestSilentCrashDetectedByStall(t *testing.T) {
 			spec := sim.Spec{
 				Adversary: adversary.Complete(n),
 				Proposals: sim.SeqProposals(n),
-				Opts:      core.Options{ConservativeDecide: true},
+				Params:    core.Options{ConservativeDecide: true},
 				MaxRounds: 3*n + 12,
 			}
-			opts := runtime.CrashReplayOpts{Kind: kind}
+			opts := runtime.ReplayOpts{Kind: kind, Crash: plan}
 			if kind == "tcp" {
 				opts.TCP.Stall = transport.StallOpts{
 					RoundTimeout: 25 * time.Millisecond,
@@ -151,7 +162,7 @@ func TestSilentCrashDetectedByStall(t *testing.T) {
 					Counters:     &counters,
 				}
 			}
-			rep, err := runtime.CrashReplay(spec, plan, opts)
+			rep, err := runtime.Replay(spec, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -189,10 +200,10 @@ func TestStallPlanRecoversWithoutVerdict(t *testing.T) {
 	spec := sim.Spec{
 		Adversary: adversary.Complete(n),
 		Proposals: sim.SeqProposals(n),
-		Opts:      core.Options{ConservativeDecide: true},
+		Params:    core.Options{ConservativeDecide: true},
 		MaxRounds: 3*n + 10,
 	}
-	rep, err := runtime.CrashReplay(spec, nil, runtime.CrashReplayOpts{
+	rep, err := runtime.Replay(spec, runtime.ReplayOpts{
 		Kind:  "udp",
 		Stall: stall,
 		UDP: transport.UDPOpts{

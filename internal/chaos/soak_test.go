@@ -2,21 +2,19 @@ package chaos
 
 import (
 	"fmt"
-	"math/rand"
 	"os"
 	"testing"
 	"time"
 
-	"kset/internal/adversary"
-	"kset/internal/core"
+	"kset/internal/algo"
 	"kset/internal/runtime"
-	"kset/internal/sim"
 	"kset/internal/transport"
 )
 
 // TestChaosNightlySoak is the long-budget crash grid the nightly
 // workflow runs (KSET_NIGHTLY=1): every transport × n ∈ {8, 12, 16} ×
-// 1–3 crashes × 6 seeds, each scenario replay-verified, plus a
+// 1–3 crashes × 6 seeds, each scenario replay-verified, plus a graph
+// approximate agreement lane over every transport and a
 // crashes-under-loss composition lane on UDP (injected deaths *and* 10%
 // injected frame loss in the same run). Divergence runfiles land in
 // KSET_ARTIFACT_DIR for upload.
@@ -26,49 +24,53 @@ func TestChaosNightlySoak(t *testing.T) {
 	}
 	artifactDir := os.Getenv("KSET_ARTIFACT_DIR")
 
+	var cfgs []BatteryConfig
 	for _, kind := range []string{"inproc", "tcp", "udp"} {
 		for _, n := range []int{8, 12, 16} {
 			for crashes := 1; crashes <= 3; crashes++ {
 				for seed := int64(1); seed <= 6; seed++ {
-					cfg := BatteryConfig{
+					cfgs = append(cfgs, BatteryConfig{
 						Name:    fmt.Sprintf("%s-n%d-c%d-s%d", kind, n, crashes, seed),
 						Kind:    kind,
 						N:       n,
 						Crashes: crashes,
 						Seed:    seed,
-					}
-					t.Run(cfg.Name, func(t *testing.T) {
-						t.Parallel()
-						rep, err := Run(cfg, artifactDir)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if !rep.KBound {
-							t.Errorf("k-bound violation: %d distinct decisions, realized MinK %d",
-								rep.Distinct, rep.Replay.MinK)
-						}
 					})
 				}
 			}
 		}
+		for seed := int64(1); seed <= 6; seed++ {
+			cfgs = append(cfgs, BatteryConfig{
+				Name:      fmt.Sprintf("approx-%s-n8-c2-s%d", kind, seed),
+				Algorithm: algo.Approx,
+				Kind:      kind,
+				N:         8,
+				Crashes:   2,
+				Seed:      seed,
+			})
+		}
+	}
+	for _, cfg := range cfgs {
+		t.Run(cfg.Name, func(t *testing.T) {
+			t.Parallel()
+			rep, err := Run(cfg, artifactDir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !rep.KBound {
+				t.Errorf("k-bound violation: %d distinct decisions, realized MinK %d",
+					rep.Distinct, rep.Replay.MinK)
+			}
+		})
 	}
 
 	// Composition lane: crashes and wire loss at once. The replay must
 	// still be exact — the realized heard-sets absorb both cut and loss.
 	for seed := int64(1); seed <= 6; seed++ {
-		seed := seed
 		t.Run(fmt.Sprintf("udp-loss-crash-s%d", seed), func(t *testing.T) {
 			t.Parallel()
 			const n = 8
-			rng := rand.New(rand.NewSource(seed))
-			spec := sim.Spec{
-				Adversary: adversary.RandomSources(n, 1+rng.Intn(2), n/2, 0.3, rng),
-				Proposals: sim.SeqProposals(n),
-				Opts:      core.Options{ConservativeDecide: true},
-				MaxRounds: 4*n + 20,
-			}
-			plan := RandomCrashPlan(n, 2, n/2+2, seed, false)
-			rep, err := runtime.CrashReplay(spec, plan, runtime.CrashReplayOpts{
+			rep, err := runtime.Replay(batterySpec(BatteryConfig{N: n, Seed: seed}), runtime.ReplayOpts{
 				Kind: "udp",
 				UDP: transport.UDPOpts{
 					RoundTimeout: 15 * time.Millisecond,
@@ -77,6 +79,7 @@ func TestChaosNightlySoak(t *testing.T) {
 				},
 				Loss:        0.10,
 				LossSeed:    seed,
+				Crash:       RandomCrashPlan(n, 2, n/2+2, seed, false),
 				ArtifactDir: artifactDir,
 			})
 			if err != nil {

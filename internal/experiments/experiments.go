@@ -136,7 +136,8 @@ func E1Figure1() (*Result, error) {
 func captureApprox(spec sim.Spec, who, upTo int) ([]*graph.Labeled, error) {
 	var approxes []*graph.Labeled
 	n := spec.Adversary.N()
-	factory := core.NewFactory(spec.Proposals, spec.Opts)
+	opts, _ := spec.Params.(core.Options)
+	factory := core.NewFactory(spec.Proposals, opts)
 	procs := make([]*core.Process, n)
 	for i := 0; i < n; i++ {
 		procs[i] = factory(i).(*core.Process)
@@ -464,7 +465,7 @@ func E7Consensus(cfg Config) (*Result, error) {
 			outR, err := sim.Execute(sim.Spec{
 				Adversary: run,
 				Proposals: sim.SeqProposals(n),
-				Opts:      core.Options{ConservativeDecide: true},
+				Params:    core.Options{ConservativeDecide: true},
 			})
 			if err != nil {
 				return nil, err
@@ -518,7 +519,7 @@ func E10GuardFlaw(cfg Config) (*Result, error) {
 		{"published r>=n", core.Options{}},
 		{"repaired r>=2n-1", core.Options{ConservativeDecide: true}},
 	} {
-		out, err := sim.Execute(sim.Spec{Adversary: witness, Proposals: props, Opts: variant.opts})
+		out, err := sim.Execute(sim.Spec{Adversary: witness, Proposals: props, Params: variant.opts})
 		if err != nil {
 			return nil, err
 		}
@@ -550,7 +551,7 @@ func E10GuardFlaw(cfg Config) (*Result, error) {
 		for trial := 0; trial < cfg.Trials; trial++ {
 			n := 4 + rng2.Intn(5)
 			run := adversary.RandomSingleSource(n, 1+rng2.Intn(n), 0.3, 0.3, rng2)
-			out, err := sim.Execute(sim.Spec{Adversary: run, Proposals: sim.SeqProposals(n), Opts: variant.opts})
+			out, err := sim.Execute(sim.Spec{Adversary: run, Proposals: sim.SeqProposals(n), Params: variant.opts})
 			if err != nil {
 				return nil, err
 			}
@@ -648,7 +649,7 @@ func E9Ablations(cfg Config) (*Result, error) {
 			out, err := sim.Execute(sim.Spec{
 				Adversary:     run,
 				Proposals:     sim.SeqProposals(n),
-				Opts:          v.opts,
+				Params:        v.opts,
 				MeterMessages: true,
 			})
 			if err != nil {

@@ -132,6 +132,13 @@ func (p *CrashPlan) Sends(r, from, to int) bool {
 	}
 }
 
+// gathers reports whether process q gathers round r under the plan: it
+// has not crashed by then (a crashing process never gathers its crash
+// round).
+func (p *CrashPlan) gathers(q, r int) bool {
+	return p == nil || p.Round[q] == 0 || r < p.Round[q]
+}
+
 // aliveEntering counts the processes that will report round r: everyone
 // whose crash round is unset or still ahead — a process reports (as
 // crashed) IN its crash round, and never after.

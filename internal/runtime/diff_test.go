@@ -1,15 +1,15 @@
 package runtime
 
 import (
+	"bytes"
 	"fmt"
 	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
 	"kset/internal/adversary"
-	"kset/internal/rounds"
+	"kset/internal/graph"
 	"kset/internal/runfile"
 )
 
@@ -24,7 +24,7 @@ func TestDifferentialSuiteInProc(t *testing.T) {
 	}
 	for _, n := range ns {
 		for _, sched := range ScheduleSuite(n, int64(1000+n)) {
-			opts := DiffOpts{}
+			opts := ReplayOpts{}
 			if n == 8 {
 				opts.Jitter = 100 * time.Microsecond
 				opts.JitterSeed = int64(n)
@@ -55,7 +55,7 @@ func TestDifferentialSuiteN128(t *testing.T) {
 	const n = 128
 	for _, sched := range ScheduleSuite(n, int64(1000+n)) {
 		sched.Spec.MaxRounds = 12
-		if err := Diff(sched.Spec, DiffOpts{}); err != nil {
+		if err := Diff(sched.Spec, ReplayOpts{}); err != nil {
 			t.Errorf("n=%d %s: %v", n, sched.Name, err)
 		}
 	}
@@ -71,13 +71,13 @@ func TestDifferentialPipelined(t *testing.T) {
 	n := 6
 	for _, sched := range ScheduleSuite(n, 77) {
 		sched.Spec.RunToCompletion = true
-		for _, opts := range []DiffOpts{
+		for _, opts := range []ReplayOpts{
 			{},
-			{TCP: true},
-			{TCP: true, TCPNodes: 2},
+			{Kind: "tcp"},
+			{Kind: "tcp", Nodes: 2},
 		} {
 			if err := Diff(sched.Spec, opts); err != nil {
-				t.Errorf("%s (tcp=%v nodes=%d): %v", sched.Name, opts.TCP, opts.TCPNodes, err)
+				t.Errorf("%s (kind=%q nodes=%d): %v", sched.Name, opts.Kind, opts.Nodes, err)
 			}
 		}
 	}
@@ -91,7 +91,7 @@ func TestDifferentialSuiteTCP(t *testing.T) {
 	n := 6
 	for _, sched := range ScheduleSuite(n, 2026) {
 		for _, nodes := range []int{0, 3} {
-			opts := DiffOpts{TCP: true, TCPNodes: nodes, Jitter: 200 * time.Microsecond, JitterSeed: 7}
+			opts := ReplayOpts{Kind: "tcp", Nodes: nodes, Jitter: 200 * time.Microsecond, JitterSeed: 7}
 			if err := Diff(sched.Spec, opts); err != nil {
 				t.Errorf("n=%d nodes=%d %s: %v", n, nodes, sched.Name, err)
 			}
@@ -101,66 +101,33 @@ func TestDifferentialSuiteTCP(t *testing.T) {
 
 // TestDifferentialNightly is the long-budget harness the nightly CI
 // workflow runs (KSET_NIGHTLY=1): the full suite at n up to 32, several
-// seeds, both transports. On divergence it writes the materialized
-// schedule as a .ksr runfile into KSET_ARTIFACT_DIR, so the workflow
-// can upload a replayable counterexample.
+// seeds, both transports. On divergence Replay writes the realized
+// graphs as a .ksr runfile into KSET_ARTIFACT_DIR, so the workflow can
+// upload a replayable counterexample.
 func TestDifferentialNightly(t *testing.T) {
 	if os.Getenv("KSET_NIGHTLY") == "" {
 		t.Skip("nightly differential harness; set KSET_NIGHTLY=1 to run")
 	}
-	artifactDir := os.Getenv("KSET_ARTIFACT_DIR")
+	dir := os.Getenv("KSET_ARTIFACT_DIR")
 	for _, n := range []int{8, 16, 24, 32} {
 		for seed := int64(1); seed <= 3; seed++ {
 			for _, sched := range ScheduleSuite(n, seed) {
-				configs := []DiffOpts{
-					{},
-					{Jitter: 150 * time.Microsecond, JitterSeed: seed},
+				configs := []ReplayOpts{
+					{ArtifactDir: dir},
+					{Jitter: 150 * time.Microsecond, JitterSeed: seed, ArtifactDir: dir},
 				}
 				if n <= 16 {
 					configs = append(configs,
-						DiffOpts{TCP: true, JitterSeed: seed},
-						DiffOpts{TCP: true, TCPNodes: 4, JitterSeed: seed})
+						ReplayOpts{Kind: "tcp", JitterSeed: seed, ArtifactDir: dir},
+						ReplayOpts{Kind: "tcp", Nodes: 4, JitterSeed: seed, ArtifactDir: dir})
 				}
 				for i, opts := range configs {
-					err := Diff(sched.Spec, opts)
-					if err == nil {
-						continue
-					}
-					t.Errorf("n=%d seed=%d %s (config %d): %v", n, seed, sched.Name, i, err)
-					if artifactDir != "" {
-						writeDivergenceArtifact(t, artifactDir, sched, n, seed, err)
+					if err := Diff(sched.Spec, opts); err != nil {
+						t.Errorf("n=%d seed=%d %s (config %d): %v", n, seed, sched.Name, i, err)
 					}
 				}
 			}
 		}
-	}
-}
-
-// writeDivergenceArtifact materializes the diverging schedule and drops
-// it as a runfile plus a human-readable report next to it.
-func writeDivergenceArtifact(t *testing.T, dir string, sched NamedSchedule, n int, seed int64, derr error) {
-	t.Helper()
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		t.Logf("artifact dir: %v", err)
-		return
-	}
-	adv := sched.Spec.Adversary
-	maxRounds := sched.Spec.MaxRounds
-	if maxRounds == 0 {
-		if s, ok := adv.(rounds.Stabilizer); ok {
-			maxRounds = s.StabilizationRound() + 2*adv.N() + 5
-		} else {
-			maxRounds = 12 * adv.N()
-		}
-	}
-	base := filepath.Join(dir, fmt.Sprintf("diff-%s-n%d-seed%d", sched.Name, n, seed))
-	if err := runfile.WriteFile(base+".ksr", adversary.MaterializeRun(adv, maxRounds)); err != nil {
-		t.Logf("write runfile artifact: %v", err)
-	}
-	report := fmt.Sprintf("schedule %s (n=%d, seed=%d)\nproposals %v\nopts %+v\ndivergence: %v\n",
-		sched.Name, n, seed, sched.Spec.Proposals, sched.Spec.Opts, derr)
-	if err := os.WriteFile(base+".txt", []byte(report), 0o644); err != nil {
-		t.Logf("write report artifact: %v", err)
 	}
 }
 
@@ -183,5 +150,43 @@ func TestScheduleSuiteCoversE1ThroughE16(t *testing.T) {
 		if !seen[fmt.Sprintf("E%d", e)] {
 			t.Errorf("suite has no schedule for experiment family E%d", e)
 		}
+	}
+}
+
+// TestDivergenceArtifactsDoNotCollide pins content naming: two
+// different realized runs of equal length, written into one directory
+// (as the chaos soak's parallel subtests do), must land in two files,
+// each replaying its own run; rewriting a run reuses its name.
+func TestDivergenceArtifactsDoNotCollide(t *testing.T) {
+	dir := t.TempDir()
+	isolated := graph.NewFullDigraph(4)
+	isolated.AddSelfLoops()
+	a := adversary.NewRun([]*graph.Digraph{graph.CompleteDigraph(4)}, graph.CompleteDigraph(4))
+	b := adversary.NewRun([]*graph.Digraph{graph.CompleteDigraph(4)}, isolated)
+	pa, err := writeDivergence(dir, a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pb, err := writeDivergence(dir, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pa == pb {
+		t.Fatalf("two different runs of equal length share the artifact %s", pa)
+	}
+	if again, _ := writeDivergence(dir, a); again != pa {
+		t.Errorf("the same run was named %s, then %s", pa, again)
+	}
+	for path, want := range map[string]*adversary.Run{pa: a, pb: b} {
+		got, err := runfile.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(runfile.Encode(got), runfile.Encode(want)) {
+			t.Errorf("%s does not replay the run written to it", path)
+		}
+	}
+	if files, _ := os.ReadDir(dir); len(files) != 2 {
+		t.Errorf("artifact dir holds %d files, want 2", len(files))
 	}
 }

@@ -33,7 +33,7 @@ func lossyUDP() transport.UDPOpts {
 func TestLossReplayLosslessEqualsSchedule(t *testing.T) {
 	for _, sched := range ScheduleSuite(6, 88) {
 		// Families with fixed small n keep it; the meter adapts.
-		rep, err := LossReplay(sched.Spec, LossReplayOpts{UDP: quietUDP()})
+		rep, err := Replay(sched.Spec, ReplayOpts{Kind: "udp", UDP: quietUDP()})
 		if err != nil {
 			t.Errorf("%s: %v", sched.Name, err)
 			continue
@@ -65,13 +65,13 @@ func TestLossReplayBoundedInjectedLoss(t *testing.T) {
 		spec := sim.Spec{
 			Adversary: adversary.RandomSources(n, 1+rng.Intn(3), n/2, 0.3, rng),
 			Proposals: sim.SeqProposals(n),
-			Opts:      core.Options{ConservativeDecide: true},
+			Params:    core.Options{ConservativeDecide: true},
 		}
 		inject := transport.FrameLoss(0.3, seed)
 		u := quietUDP()
 		u.RoundTimeout = 15 * time.Millisecond
 		u.DropDatagram = func(r, from, to, frag int) bool { return r <= 6 && inject(r, from, to, frag) }
-		rep, err := LossReplay(spec, LossReplayOpts{UDP: u})
+		rep, err := Replay(spec, ReplayOpts{Kind: "udp", UDP: u})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -106,10 +106,11 @@ func TestLossReplaySustainedTenPercent(t *testing.T) {
 			spec := sim.Spec{
 				Adversary: adversary.RandomSources(n, 2, n/2, 0.25, rng),
 				Proposals: sim.SeqProposals(n),
-				Opts:      core.Options{ConservativeDecide: true},
+				Params:    core.Options{ConservativeDecide: true},
 				MaxRounds: 30,
 			}
-			rep, err := LossReplay(spec, LossReplayOpts{
+			rep, err := Replay(spec, ReplayOpts{
+				Kind:  "udp",
 				Nodes: nodes,
 				UDP:   lossyUDP(),
 				Loss:  0.10, LossSeed: seed,
@@ -138,11 +139,11 @@ func TestLossReplayPipelined(t *testing.T) {
 	spec := sim.Spec{
 		Adversary:       adversary.RandomSources(n, 2, n/2, 0.3, rng),
 		Proposals:       sim.SeqProposals(n),
-		Opts:            core.Options{ConservativeDecide: true},
+		Params:          core.Options{ConservativeDecide: true},
 		MaxRounds:       25,
 		RunToCompletion: true,
 	}
-	rep, err := LossReplay(spec, LossReplayOpts{UDP: lossyUDP(), Loss: 0.08, LossSeed: 21})
+	rep, err := Replay(spec, ReplayOpts{Kind: "udp", UDP: lossyUDP(), Loss: 0.08, LossSeed: 21})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +159,7 @@ func TestLossReplayOwnsMeter(t *testing.T) {
 	spec := sim.Spec{Adversary: adversary.Complete(4), Proposals: sim.SeqProposals(4)}
 	u := quietUDP()
 	u.Meter = transport.NewHeardMeter(4)
-	_, err := LossReplay(spec, LossReplayOpts{UDP: u})
+	_, err := Replay(spec, ReplayOpts{Kind: "udp", UDP: u})
 	if err == nil || !strings.Contains(err.Error(), "Meter") {
 		t.Fatalf("caller-supplied meter accepted: %v", err)
 	}

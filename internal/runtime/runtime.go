@@ -4,10 +4,10 @@
 // and per-link drops/delays injected by the transport's policy instead
 // of a lock-step delivery loop. It is the second, independent
 // implementation of the executor contract in internal/rounds — the
-// differential harness in this package (Diff) proves it
-// decision-for-decision identical to the simulator, in the same spirit
-// as the differential baselines in internal/baseline and the
-// model-checker's brute-force cross-check in internal/check.
+// replay harness in this package (Replay, with Diff its lossless case)
+// proves it decision-for-decision identical to the simulator, in the
+// same spirit as the differential baselines in internal/baseline and
+// the model-checker's brute-force cross-check in internal/check.
 //
 // # Determinism
 //
@@ -110,7 +110,7 @@ func RunChaos(cfg rounds.Config, tr transport.Transport, codec Codec, plan *Cras
 		return nil, err
 	}
 	if codec == nil {
-		codec = WireCodec{}
+		codec = algo.KSetCodec{}
 	}
 
 	procs := make([]rounds.Algorithm, n)
@@ -190,7 +190,7 @@ loop:
 			}
 		}
 		for i := range conts {
-			if plan != nil && plan.Round[i] != 0 && plan.Round[i] <= r {
+			if !plan.gathers(i, r) {
 				continue // crashed: its goroutine is gone
 			}
 			conts[i] <- !stopNow
@@ -339,7 +339,6 @@ func abortErr(self, r int, err error) error {
 // RunnerOpts configures NewRunner.
 type RunnerOpts struct {
 	// Kind selects the transport: "inproc" (default), "tcp", or "udp".
-	// Empty defers to the legacy TCP flag below.
 	Kind string
 	// Nodes groups the n processes onto this many mesh nodes for the
 	// socket transports (co-located processes share sockets and their
@@ -354,26 +353,14 @@ type RunnerOpts struct {
 	// the wire i.i.d. with this probability (deterministically from
 	// LossSeed) — real absence-style loss, composed with any
 	// UDP.DropDatagram hook and with the schedule's Policy drops. The
-	// algorithm tolerates it by design; the loss-replay harness
-	// (LossReplay) verifies the realized run still satisfies the paper's
-	// bounds.
+	// algorithm tolerates it by design; the replay harness (Replay)
+	// verifies the realized run still satisfies the paper's bounds.
 	Loss     float64
 	LossSeed int64
 
-	// TCP selects the TCP loopback transport when Kind is empty; kept
-	// for existing call sites, equivalent to Kind: "tcp".
-	TCP bool
-	// TCPNodes is the legacy spelling of Nodes.
-	TCPNodes int
-
 	// Algorithm names the registered family whose Codec carries the
-	// messages when Codec is nil; "" resolves to the registry default
-	// (kset). An explicit Codec always wins.
+	// messages; "" resolves to the registry default (kset).
 	Algorithm string
-	// Codec encodes the algorithm's messages; nil resolves the
-	// Algorithm name through the registry (default: WireCodec,
-	// Algorithm 1 over internal/wire).
-	Codec Codec
 	// Jitter, when positive, layers deterministic per-link receive
 	// latency in [0, Jitter) on top of the schedule's drops, seeded by
 	// JitterSeed. Decisions are unaffected (Diff proves it); timing
@@ -403,27 +390,12 @@ type RunnerOpts struct {
 	OnTransport func(transport.Transport)
 }
 
-// kind resolves the transport selection, folding the legacy TCP flag in.
-func (o RunnerOpts) kind() string {
-	if o.Kind != "" {
-		return o.Kind
-	}
-	if o.TCP {
-		return "tcp"
-	}
-	return "inproc"
-}
-
 // meshNodes resolves the node count for an n-process socket mesh.
 func (o RunnerOpts) meshNodes(n int) int {
-	nodes := o.Nodes
-	if nodes == 0 {
-		nodes = o.TCPNodes
+	if o.Nodes <= 0 || o.Nodes > n {
+		return n
 	}
-	if nodes <= 0 || nodes > n {
-		nodes = n
-	}
-	return nodes
+	return o.Nodes
 }
 
 // NewRunner adapts the distributed runtime to the executor signature of
@@ -432,16 +404,17 @@ func (o RunnerOpts) meshNodes(n int) int {
 // for concurrent access), runs cfg over it, and tears the transport
 // down. Each call of the returned runner is an independent run.
 func NewRunner(opts RunnerOpts) func(rounds.Config) (*rounds.Result, error) {
+	alg, algErr := algo.Lookup(opts.Algorithm)
+	kind := opts.Kind
+	if kind == "" {
+		kind = "inproc"
+	}
 	return func(cfg rounds.Config) (*rounds.Result, error) {
 		if _, err := cfg.Validate(); err != nil {
 			return nil, err
 		}
-		if opts.Codec == nil {
-			alg, err := algo.Lookup(opts.Algorithm)
-			if err != nil {
-				return nil, err
-			}
-			opts.Codec = alg.Codec
+		if algErr != nil {
+			return nil, algErr
 		}
 		adv := adversary.MaterializeRun(cfg.Adversary, cfg.MaxRounds)
 		cfg.Adversary = adv
@@ -456,7 +429,7 @@ func NewRunner(opts RunnerOpts) func(rounds.Config) (*rounds.Result, error) {
 			pol = transport.Jitter{Inner: pol, Seed: opts.JitterSeed, Max: opts.Jitter}
 		}
 		var tr transport.Transport
-		switch kind := opts.kind(); kind {
+		switch kind {
 		case "inproc":
 			tr = transport.NewInProc(adv.N(), pol)
 		case "tcp":
@@ -484,12 +457,12 @@ func NewRunner(opts RunnerOpts) func(rounds.Config) (*rounds.Result, error) {
 		default:
 			return nil, fmt.Errorf("runtime: unknown transport kind %q", kind)
 		}
-		if opts.Meter != nil && opts.kind() != "udp" {
+		if opts.Meter != nil && kind != "udp" {
 			tr = transport.Metered(tr, opts.Meter)
 		}
 		if opts.OnTransport != nil {
 			opts.OnTransport(tr)
 		}
-		return RunChaos(cfg, tr, opts.Codec, opts.Crash, opts.Stall)
+		return RunChaos(cfg, tr, alg.Codec, opts.Crash, opts.Stall)
 	}
 }

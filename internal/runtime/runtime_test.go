@@ -7,11 +7,28 @@ import (
 	"testing"
 
 	"kset/internal/adversary"
+	"kset/internal/algo"
 	"kset/internal/graph"
 	"kset/internal/rounds"
 	"kset/internal/sim"
 	"kset/internal/transport"
 )
+
+// rawCodec carries opaque byte slices unchanged, for countingAlg's
+// messages, which already are bytes.
+type rawCodec struct{}
+
+func (rawCodec) Encode(dst []byte, msg any) ([]byte, error) {
+	b, ok := msg.([]byte)
+	if !ok {
+		return nil, fmt.Errorf("rawCodec got %T, want []byte", msg)
+	}
+	return append(dst, b...), nil
+}
+
+func (rawCodec) NewDecoder(n int) Decoder { return rawCodec{} }
+
+func (rawCodec) Decode(from int, payload []byte) (any, error) { return payload, nil }
 
 // countingAlg is a minimal algorithm for control-plane tests: it
 // broadcasts (self, round) as raw bytes and counts what it hears.
@@ -48,7 +65,7 @@ func TestRunExecutesMaxRoundsAndNotifiesObserver(t *testing.T) {
 			}
 		}),
 	}
-	res, err := Run(cfg, transport.NewInProc(n, nil), RawCodec{})
+	res, err := Run(cfg, transport.NewInProc(n, nil), rawCodec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +95,7 @@ func TestRunStopWhen(t *testing.T) {
 		MaxRounds:  50,
 		StopWhen:   func(r int, procs []rounds.Algorithm) bool { return r == 4 },
 	}
-	res, err := Run(cfg, transport.NewInProc(n, nil), RawCodec{})
+	res, err := Run(cfg, transport.NewInProc(n, nil), rawCodec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,14 +128,14 @@ func TestRunRejectsInvalidGraph(t *testing.T) {
 		NewProcess: func(self int) rounds.Algorithm { return &countingAlg{} },
 		MaxRounds:  10,
 	}
-	_, err := Run(cfg, transport.NewInProc(n, nil), RawCodec{})
+	_, err := Run(cfg, transport.NewInProc(n, nil), rawCodec{})
 	if err == nil || !strings.Contains(err.Error(), "self-loop") {
 		t.Fatalf("Run with a self-loop-free round graph returned %v, want structural error", err)
 	}
 }
 
 func TestRunValidatesConfig(t *testing.T) {
-	if _, err := Run(rounds.Config{}, transport.NewInProc(1, nil), RawCodec{}); err == nil {
+	if _, err := Run(rounds.Config{}, transport.NewInProc(1, nil), rawCodec{}); err == nil {
 		t.Fatal("Run accepted an empty Config")
 	}
 	cfg := rounds.Config{
@@ -126,7 +143,7 @@ func TestRunValidatesConfig(t *testing.T) {
 		NewProcess: func(self int) rounds.Algorithm { return &countingAlg{} },
 		MaxRounds:  5,
 	}
-	if _, err := Run(cfg, transport.NewInProc(2, nil), RawCodec{}); err == nil {
+	if _, err := Run(cfg, transport.NewInProc(2, nil), rawCodec{}); err == nil {
 		t.Fatal("Run accepted a transport sized for the wrong n")
 	}
 }
@@ -137,19 +154,19 @@ func TestRunValidatesConfig(t *testing.T) {
 func TestRunnerMatchesSequentialExecutor(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	run := adversary.RandomSources(8, 2, 6, 0.3, rng)
-	for _, tcp := range []bool{false, true} {
+	for _, kind := range []string{"inproc", "tcp"} {
 		spec := sim.Spec{Adversary: run, Proposals: sim.SeqProposals(8)}
-		if err := Diff(spec, DiffOpts{TCP: tcp}); err != nil {
-			t.Fatalf("tcp=%v: %v", tcp, err)
+		if err := Diff(spec, ReplayOpts{Kind: kind}); err != nil {
+			t.Fatalf("%s: %v", kind, err)
 		}
 	}
 }
 
 func TestWireCodecRejectsForeignMessage(t *testing.T) {
-	if _, err := (WireCodec{}).Encode(nil, "not a message"); err == nil {
-		t.Fatal("WireCodec encoded a string")
+	if _, err := (algo.KSetCodec{}).Encode(nil, "not a message"); err == nil {
+		t.Fatal("the kset wire codec encoded a string")
 	}
-	dec := WireCodec{}.NewDecoder(2)
+	dec := algo.KSetCodec{}.NewDecoder(2)
 	if _, err := dec.Decode(5, nil); err == nil {
 		t.Fatal("decoder accepted out-of-range sender")
 	}
@@ -165,7 +182,7 @@ func TestRunnerEncodesRealWireBytes(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	run := adversary.RandomSources(6, 2, 4, 0.3, rng)
 	spec := sim.Spec{Adversary: run, Proposals: sim.SeqProposals(6), MeterMessages: true}
-	if err := Diff(spec, DiffOpts{}); err != nil {
+	if err := Diff(spec, ReplayOpts{}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -176,7 +193,7 @@ func ExampleNewRunner() {
 	spec := sim.Spec{
 		Adversary: adversary.Figure1(),
 		Proposals: sim.SeqProposals(6),
-		Runner:    NewRunner(RunnerOpts{TCP: true}),
+		Runner:    NewRunner(RunnerOpts{Kind: "tcp"}),
 	}
 	out, err := sim.Execute(spec)
 	if err != nil {

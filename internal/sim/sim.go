@@ -36,13 +36,6 @@ type Spec struct {
 	// kset, approx.Options for approx); nil means the family defaults.
 	// Resolve normalizes it in place.
 	Params any
-	// Opts configures Algorithm 1.
-	//
-	// Deprecated: Opts is the k-set-only spelling of Params, kept
-	// working for existing callers — when Algorithm is "kset" (or
-	// empty) and Params is nil, Opts is used, and sweeps built either
-	// way produce byte-identical output. New code should set Params.
-	Opts core.Options
 	// NewProcess optionally overrides the algorithm under test (e.g. a
 	// baseline); when nil, the registered Algorithm family runs with
 	// Proposals and Params.
@@ -100,6 +93,11 @@ type Outcome struct {
 	// executed; nil when Spec.NewProcess overrode the algorithm.
 	// CheckAlgorithm evaluates the family's oracles against it.
 	Run *algo.Run
+	// Exempt marks processes that crashed undecided, which owe no
+	// decision: CheckAlgorithm holds no termination oracle against them.
+	// Execute leaves it nil; runtime.Replay sets it on the outcome its
+	// oracles judge.
+	Exempt []bool
 	// Observer echoes Spec.Observer, so sweep consumers that attach
 	// per-run instrumentation to a spec (e.g. the E15 stale-edge meter)
 	// can read it back from the streamed outcome.
@@ -129,7 +127,7 @@ func (m meteredProc) Send(r int) any {
 // exactly the bytes the distributed runtime would put on the wire.
 type meteredAlg struct {
 	rounds.Algorithm
-	dec   rounds.Decider
+	rounds.Decider
 	mu    *sync.Mutex
 	codec algo.Codec
 	buf   *[]byte
@@ -151,15 +149,6 @@ func (m meteredAlg) Send(r int) any {
 	return msg
 }
 
-// Proposal implements rounds.Decider.
-func (m meteredAlg) Proposal() int64 { return m.dec.Proposal() }
-
-// Decided implements rounds.Decider.
-func (m meteredAlg) Decided() bool { return m.dec.Decided() }
-
-// Decision implements rounds.Decider.
-func (m meteredAlg) Decision() (int64, int) { return m.dec.Decision() }
-
 // meteredFactory wraps a family's process factory with metering. The
 // kset family keeps its historical wrapper (byte-identical meters are
 // pinned by the E5 differential battery); other families meter through
@@ -180,26 +169,26 @@ func meteredFactory(alg *algo.Algorithm, inner func(int) rounds.Algorithm, meter
 			// wrapped without hiding its real type; run it unmetered.
 			return p
 		}
-		return meteredAlg{Algorithm: p, dec: dec, mu: &mu, codec: alg.Codec, buf: buf, meter: meter}
+		return meteredAlg{Algorithm: p, Decider: dec, mu: &mu, codec: alg.Codec, buf: buf, meter: meter}
 	}
 }
 
 // Resolve normalizes the spec in place for its registered algorithm
-// family: it validates the adversary and proposals, applies the
-// deprecated Opts shim, fills Params defaults through the family's
-// Prepare hook, and computes the automatic MaxRounds bound. Execute
-// calls it internally; the differential harness (runtime.Diff) calls it
-// before materializing the schedule, so parameter defaults that depend
-// on the adversary's stabilization round are identical in both
-// executions. Resolve is idempotent.
+// family: it validates the adversary and proposals, fills Params
+// defaults through the family's Prepare hook, and computes the
+// automatic MaxRounds bound. Execute calls it internally; the replay
+// harness (runtime.Replay) calls it before materializing the schedule,
+// so parameter defaults that depend on the adversary's stabilization
+// round are identical in both executions. Resolve is idempotent.
 func (s *Spec) Resolve() error {
 	if s.Adversary == nil {
 		return fmt.Errorf("sim: nil adversary")
 	}
 	n := s.Adversary.N()
 	if s.NewProcess != nil {
+		// Override runs (baselines) have no family; they take kset's bound.
 		if s.MaxRounds == 0 {
-			s.MaxRounds = defaultMaxRounds(s.Adversary)
+			s.MaxRounds = algo.MustLookup(algo.KSet).MaxRounds(stabRun(s.Adversary))
 		}
 		return nil
 	}
@@ -211,7 +200,7 @@ func (s *Spec) Resolve() error {
 		return err
 	}
 	s.Algorithm = alg.Name
-	run := s.algoRun(alg, n)
+	run := s.algoRun(alg)
 	if err := alg.Prepare(&run); err != nil {
 		return err
 	}
@@ -224,33 +213,23 @@ func (s *Spec) Resolve() error {
 
 // algoRun assembles the family's run description from the spec and the
 // adversary's stabilization data.
-func (s *Spec) algoRun(alg *algo.Algorithm, n int) algo.Run {
-	run := algo.Run{
-		Algorithm: alg.Name,
-		N:         n,
-		Proposals: s.Proposals,
-		Params:    s.Params,
-		MaxRounds: s.MaxRounds,
-	}
-	if alg.Name == algo.KSet && run.Params == nil {
-		run.Params = s.Opts // the deprecated Spec.Opts shim
-	}
-	if st, ok := s.Adversary.(rounds.Stabilizer); ok {
-		run.Stabilizes = true
-		run.Stab = st.StabilizationRound()
-	}
+func (s *Spec) algoRun(alg *algo.Algorithm) algo.Run {
+	run := stabRun(s.Adversary)
+	run.Algorithm = alg.Name
+	run.Proposals = s.Proposals
+	run.Params = s.Params
+	run.MaxRounds = s.MaxRounds
 	return run
 }
 
-// defaultMaxRounds is the historical automatic bound, retained for
-// NewProcess-override runs (baselines): stabilization + 2n + 5, or 12n
-// without a Stabilizer.
-func defaultMaxRounds(adv rounds.Adversary) int {
-	n := adv.N()
-	if s, ok := adv.(rounds.Stabilizer); ok {
-		return s.StabilizationRound() + 2*n + 5
+// stabRun is the adversary's part of a run description: its size and
+// stabilization data.
+func stabRun(adv rounds.Adversary) algo.Run {
+	run := algo.Run{N: adv.N()}
+	if st, ok := adv.(rounds.Stabilizer); ok {
+		run.Stabilizes, run.Stab = true, st.StabilizationRound()
 	}
-	return 12 * n
+	return run
 }
 
 // Execute runs one simulation.
@@ -267,7 +246,7 @@ func Execute(spec Spec) (*Outcome, error) {
 	collect := trace.Collect
 	if factory == nil {
 		alg := algo.MustLookup(spec.Algorithm)
-		run := spec.algoRun(alg, n)
+		run := spec.algoRun(alg)
 		f, err := alg.NewFactory(run)
 		if err != nil {
 			return nil, err
@@ -350,6 +329,7 @@ func (o *Outcome) CheckAlgorithm() []algo.Violation {
 		Skeleton:  o.Skeleton,
 		RootComps: o.RootComps,
 		MinK:      o.MinK,
+		Exempt:    o.Exempt,
 	})
 }
 

@@ -104,10 +104,14 @@ func (o *Outcome) MaxDecisionRound() int {
 }
 
 // CheckTermination returns an error naming every undecided process.
-func (o *Outcome) CheckTermination() error {
+func (o *Outcome) CheckTermination() error { return o.CheckTerminationExcept(nil) }
+
+// CheckTerminationExcept is CheckTermination skipping the processes
+// marked in exempt (nil = none), e.g. those that crashed undecided.
+func (o *Outcome) CheckTerminationExcept(exempt []bool) error {
 	var missing []string
 	for i, d := range o.Decided {
-		if !d {
+		if !d && (exempt == nil || !exempt[i]) {
 			missing = append(missing, fmt.Sprintf("p%d", i+1))
 		}
 	}

@@ -138,8 +138,7 @@ func NewTCPMeshLoopbackOpts(n, nodes int, pol Policy, opts TCPOpts) (*TCPMesh, e
 	}
 	for i := 0; i < t.m; i++ {
 		lo, hi := t.nodeLo(i), t.nodeLo(i+1)
-		nd := &meshNode{t: t, id: i, lo: lo, hi: hi}
-		nd.cond.L = &nd.mu
+		nd := &meshNode{t: t, id: i, lo: lo, hi: hi, ring: newSendRing(lo, hi-lo, t.stall, t.done)}
 		nd.boxes = make([]mailbox, hi-lo)
 		for j := range nd.boxes {
 			if t.stall {
@@ -147,9 +146,6 @@ func NewTCPMeshLoopbackOpts(n, nodes int, pol Policy, opts TCPOpts) (*TCPMesh, e
 			} else {
 				nd.boxes[j] = newRoundBuffer(n)
 			}
-		}
-		for r := range nd.pending {
-			nd.pending[r] = make([]*refBuf, hi-lo)
 		}
 		nd.conns = make([]net.Conn, t.m)
 		nd.reconnecting = make([]bool, t.m)
@@ -224,7 +220,7 @@ func (t *TCPMesh) MarkDead(p, fromRound int) {
 		}
 	}
 	nd := t.nodes[t.nodeOf(p)]
-	nd.markDeadLocal(p-nd.lo, fromRound)
+	nd.ring.markDead(p-nd.lo, fromRound)
 }
 
 // markNodeDead is the terminal verdict of the stall detector or an
@@ -304,9 +300,7 @@ func (t *TCPMesh) Close() error {
 		c.Close()
 	}
 	for _, nd := range t.nodes {
-		nd.mu.Lock()
-		nd.cond.Broadcast() // writer loop re-checks t.done and exits
-		nd.mu.Unlock()
+		nd.ring.wake() // writer loop re-checks t.done and exits
 		for _, b := range nd.boxes {
 			b.close()
 		}
@@ -502,65 +496,14 @@ type meshNode struct {
 	id     int
 	lo, hi int       // hosted processes [lo, hi)
 	boxes  []mailbox // per hosted process (roundBuffer, or lossyBuffer in chaos mode)
+	ring   *sendRing // outbound round contributions, consumed by the writer loop
 
 	mu           sync.Mutex
-	cond         sync.Cond
-	pending      [window][]*refBuf // [r%window][local sender] round contributions
-	pcount       [window]int
 	conns        []net.Conn // by peer node id; writes owned by the writer loop
-	deadFrom     []int      // per local sender: first dead round (0 = alive), lazily allocated
 	reconnecting []bool     // per peer node: stream down, replacement pending
 }
 
 func (nd *meshNode) localN() int { return nd.hi - nd.lo }
-
-// liveTargetLocked is the number of round-r contributions the writer
-// loop must wait for: the hosted senders not yet declared dead for r.
-func (nd *meshNode) liveTargetLocked(r int) int {
-	target := nd.localN()
-	if nd.deadFrom != nil {
-		for _, f := range nd.deadFrom {
-			if f != 0 && f <= r {
-				target--
-			}
-		}
-	}
-	return target
-}
-
-// markDeadLocal records a hosted sender's death for the writer loop: the
-// writer stops waiting for its contributions from fromRound onward and
-// ships its frame slots as drop tombstones.
-func (nd *meshNode) markDeadLocal(local, fromRound int) {
-	if fromRound < 1 {
-		fromRound = 1
-	}
-	nd.mu.Lock()
-	if nd.deadFrom == nil {
-		nd.deadFrom = make([]int, nd.localN())
-	}
-	if nd.deadFrom[local] == 0 || nd.deadFrom[local] > fromRound {
-		nd.deadFrom[local] = fromRound
-		nd.cond.Broadcast()
-	}
-	nd.mu.Unlock()
-}
-
-// contribute hands a local sender's round-r payload to the writer loop.
-func (nd *meshNode) contribute(local, r int, rb *refBuf) error {
-	nd.mu.Lock()
-	if nd.pending[r%window][local] != nil {
-		nd.mu.Unlock()
-		return fmt.Errorf("transport: p%d round %d overran the writer window", nd.lo+local+1, r)
-	}
-	nd.pending[r%window][local] = rb
-	nd.pcount[r%window]++
-	if nd.pcount[r%window] >= nd.liveTargetLocked(r) {
-		nd.cond.Broadcast()
-	}
-	nd.mu.Unlock()
-	return nil
-}
 
 // writeLoop is the node's single outbound event loop: for each round in
 // order, once every live hosted process has contributed its payload, it
@@ -568,7 +511,8 @@ func (nd *meshNode) contribute(local, r int, rb *refBuf) error {
 // single writev. Send-side drops (the Policy) are folded into the
 // frame's bitmap here; a dead local sender's slots ship as bitmap
 // tombstones (its contribution is never waited for), and in chaos mode
-// a broken stream turns the frame into loss instead of failing the run.
+// a broken stream, or a writer that fell behind (see sendRing), turns
+// the frame into loss instead of failing the run.
 func (nd *meshNode) writeLoop() {
 	t := nd.t
 	_, perfect := t.pol.(Perfect)
@@ -580,33 +524,7 @@ func (nd *meshNode) writeLoop() {
 	// appending to vecs[:0] would reallocate per frame.
 	var vecsArr [2][]byte
 	var vecs net.Buffers
-	for r := 1; ; r++ {
-		nd.mu.Lock()
-		for {
-			target := nd.liveTargetLocked(r)
-			if target == 0 {
-				// The whole node is dead. Its receivers' slots are already
-				// pre-filled mesh-wide by the death verdict; nothing left
-				// to ship, ever.
-				nd.mu.Unlock()
-				return
-			}
-			if nd.pcount[r%window] >= target || closed(t.done) {
-				break
-			}
-			nd.cond.Wait()
-		}
-		if closed(t.done) {
-			nd.mu.Unlock()
-			return
-		}
-		copy(bufs, nd.pending[r%window])
-		for i := range nd.pending[r%window] {
-			nd.pending[r%window][i] = nil
-		}
-		nd.pcount[r%window] = 0
-		nd.mu.Unlock()
-
+	for r := 1; nd.ring.take(r, bufs); r++ {
 		failed := false
 		for j := 0; j < t.m && !closed(t.done) && !failed; j++ {
 			if j == nd.id {
@@ -848,7 +766,7 @@ func (ep *meshEndpoint) Broadcast(r int, payload []byte) error {
 		}
 	}
 	if t.m > 1 {
-		return nd.contribute(ep.self-nd.lo, r, rb)
+		return nd.ring.contribute(ep.self-nd.lo, r, rb)
 	}
 	return nil
 }

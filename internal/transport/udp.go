@@ -161,14 +161,10 @@ func NewUDPMeshLoopback(n, nodes int, pol Policy, opts UDPOpts) (*UDPMesh, error
 	}
 	for i := 0; i < t.m; i++ {
 		lo, hi := t.nodeLo(i), t.nodeLo(i+1)
-		nd := &udpNode{t: t, id: i, lo: lo, hi: hi}
-		nd.cond.L = &nd.mu
+		nd := &udpNode{t: t, id: i, lo: lo, hi: hi, ring: newSendRing(lo, hi-lo, true, t.done)}
 		nd.boxes = make([]*lossyBuffer, hi-lo)
 		for j := range nd.boxes {
 			nd.boxes[j] = newLossyBuffer(n)
-		}
-		for r := range nd.pending {
-			nd.pending[r] = make([]*refBuf, hi-lo)
 		}
 		t.nodes = append(t.nodes, nd)
 	}
@@ -214,7 +210,7 @@ func (t *UDPMesh) MarkDead(p, fromRound int) {
 		}
 	}
 	nd := t.nodes[t.nodeOf(p)]
-	nd.markDeadLocal(p-nd.lo, fromRound)
+	nd.ring.markDead(p-nd.lo, fromRound)
 }
 
 // markNodeDead is the stall detector's terminal verdict: every process
@@ -304,9 +300,7 @@ func (t *UDPMesh) Close() error {
 		if nd.conn != nil {
 			nd.conn.Close() // unblocks the reader and any batch send
 		}
-		nd.mu.Lock()
-		nd.cond.Broadcast() // writer loop re-checks t.done and exits
-		nd.mu.Unlock()
+		nd.ring.wake() // writer loop re-checks t.done and exits
 		for _, b := range nd.boxes {
 			b.close()
 		}
@@ -323,12 +317,7 @@ type udpNode struct {
 	lo, hi int // hosted processes [lo, hi)
 	boxes  []*lossyBuffer
 	conn   *net.UDPConn
-
-	mu       sync.Mutex
-	cond     sync.Cond
-	pending  [window][]*refBuf // [r%window][local sender] round contributions
-	pcount   [window]int
-	deadFrom []int // per local sender: first dead round (0 = alive), lazily allocated
+	ring   *sendRing // outbound round contributions, consumed by the writer loop
 
 	sender    udpSender   // writer-loop owned
 	rcv       udpReceiver // reader-loop owned
@@ -357,56 +346,9 @@ func (nd *udpNode) initIO() error {
 	return nd.rcv.init(nd.conn, t.opts.MaxDatagram)
 }
 
-// liveTargetLocked is the number of round-r contributions the writer
-// loop must wait for: the hosted senders not yet declared dead for r.
-func (nd *udpNode) liveTargetLocked(r int) int {
-	target := nd.localN()
-	if nd.deadFrom != nil {
-		for _, f := range nd.deadFrom {
-			if f != 0 && f <= r {
-				target--
-			}
-		}
-	}
-	return target
-}
-
-// markDeadLocal records a hosted sender's death for the writer loop: the
-// writer stops waiting for its contributions from fromRound onward and
-// ships its frame slots as drop tombstones.
-func (nd *udpNode) markDeadLocal(local, fromRound int) {
-	if fromRound < 1 {
-		fromRound = 1
-	}
-	nd.mu.Lock()
-	if nd.deadFrom == nil {
-		nd.deadFrom = make([]int, nd.localN())
-	}
-	if nd.deadFrom[local] == 0 || nd.deadFrom[local] > fromRound {
-		nd.deadFrom[local] = fromRound
-		nd.cond.Broadcast()
-	}
-	nd.mu.Unlock()
-}
-
-// contribute hands a local sender's round-r payload to the writer loop.
-func (nd *udpNode) contribute(local, r int, rb *refBuf) error {
-	nd.mu.Lock()
-	if nd.pending[r%window][local] != nil {
-		nd.mu.Unlock()
-		return fmt.Errorf("transport: p%d round %d overran the writer window", nd.lo+local+1, r)
-	}
-	nd.pending[r%window][local] = rb
-	nd.pcount[r%window]++
-	if nd.pcount[r%window] >= nd.liveTargetLocked(r) {
-		nd.cond.Broadcast()
-	}
-	nd.mu.Unlock()
-	return nil
-}
-
 // writeLoop is the node's single outbound event loop: for each round in
-// order, once every hosted process has contributed, it coalesces the
+// order, once the send ring releases it (see sendRing: a writer that
+// fell behind ships evicted contributions as loss), it coalesces the
 // payloads into one frame body per peer node, fragments each into
 // datagrams, and ships the whole round as one batch (one sendmmsg on
 // Linux). Send-side Policy drops fold into the frame bitmaps here;
@@ -416,32 +358,7 @@ func (nd *udpNode) writeLoop() {
 	_, perfect := t.pol.(Perfect)
 	bufs := make([]*refBuf, nd.localN())
 	var body []byte
-	for r := 1; ; r++ {
-		nd.mu.Lock()
-		for {
-			target := nd.liveTargetLocked(r)
-			if target == 0 {
-				// The whole node is dead; its receivers' slots are already
-				// pre-filled mesh-wide. Nothing left to ship, ever.
-				nd.mu.Unlock()
-				return
-			}
-			if nd.pcount[r%window] >= target || closed(t.done) {
-				break
-			}
-			nd.cond.Wait()
-		}
-		if closed(t.done) {
-			nd.mu.Unlock()
-			return
-		}
-		copy(bufs, nd.pending[r%window])
-		for i := range nd.pending[r%window] {
-			nd.pending[r%window][i] = nil
-		}
-		nd.pcount[r%window] = 0
-		nd.mu.Unlock()
-
+	for r := 1; nd.ring.take(r, bufs); r++ {
 		for j := 0; j < t.m && !closed(t.done); j++ {
 			if j == nd.id {
 				continue
@@ -740,7 +657,7 @@ func (ep *udpEndpoint) Broadcast(r int, payload []byte) error {
 		}
 	}
 	if t.m > 1 {
-		return nd.contribute(ep.self-nd.lo, r, rb)
+		return nd.ring.contribute(ep.self-nd.lo, r, rb)
 	}
 	return nil
 }

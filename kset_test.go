@@ -143,7 +143,7 @@ func TestFacadeExtensions(t *testing.T) {
 	outR, err := kset.Execute(kset.Spec{
 		Adversary: run,
 		Proposals: kset.ConsensusViolationProposals(),
-		Opts:      kset.Options{ConservativeDecide: true},
+		Params:    kset.Options{ConservativeDecide: true},
 	})
 	if err != nil {
 		t.Fatal(err)
